@@ -3,7 +3,8 @@
 # again under ThreadSanitizer, then the perf-harness smoke, then the
 # observability gate, then the ingestion-robustness gate, then the
 # columnar-trace gate, then the out-of-core gate, then the
-# simulator-core gate, then the serving gate.
+# simulator-core gate, then the serving gate, then the argument and
+# benchmark gate.
 #
 #   1. configure + build with -DSIEVE_WERROR=ON (warnings are errors)
 #   2. run the complete ctest suite
@@ -68,6 +69,10 @@
 #      responses must be byte-identical to the offline CLI for
 #      evaluate, sample, simulate (minus the wall-clock line), and
 #      trace-stats, with SIGTERM draining to exit 0 (DESIGN.md §14)
+#  12. argument and benchmark gate: malformed numeric flags
+#      (`--theta abc`, `--theta 0.4x`) must exit 1 with a usage
+#      message, never a signal and never a silent prefix parse; then
+#      the repository benchmark's own tests (`perfbench/run.py test`)
 #
 # Build trees: build-ci/ (strict), build-tsan/ and build-asan/
 # (sanitized), kept separate from the developer's build/ so CI never
@@ -78,14 +83,14 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== 1/11: strict build (WERROR) ==="
+echo "=== 1/12: strict build (WERROR) ==="
 cmake -B build-ci -S . -DSIEVE_WERROR=ON -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci -j "$JOBS"
 
-echo "=== 2/11: test suite ==="
+echo "=== 2/12: test suite ==="
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== 3/11: threaded tests under TSan ==="
+echo "=== 3/12: threaded tests under TSan ==="
 cmake -B build-tsan -S . -DSIEVE_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" --target \
@@ -102,11 +107,11 @@ cmake --build build-tsan -j "$JOBS" --target \
 ./build-tsan/tests/test_perf_oracle
 ./build-tsan/tests/test_sim_cache
 
-echo "=== 4/11: perf-harness smoke (determinism + schema) ==="
+echo "=== 4/12: perf-harness smoke (determinism + schema) ==="
 ./build-ci/bench/bench_perf --reps 3 --smoke --jobs 8 \
     --out build-ci/BENCH_SMOKE.json
 
-echo "=== 5/11: observability gate ==="
+echo "=== 5/12: observability gate ==="
 OBS_DIR=build-ci/obs-gate
 rm -rf "$OBS_DIR" && mkdir -p "$OBS_DIR"
 
@@ -132,7 +137,7 @@ echo "obs: trace schema OK"
     "$OBS_DIR/metrics_j1.json" "$OBS_DIR/metrics_j8.json"
 echo "obs: stable counters --jobs-invariant"
 
-echo "=== 6/11: ingestion-robustness gate (ASan+UBSan) ==="
+echo "=== 6/12: ingestion-robustness gate (ASan+UBSan) ==="
 cmake -B build-asan -S . -DSIEVE_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" --target \
@@ -179,7 +184,7 @@ fi
     "$ROB_DIR/sim_j1.json" "$ROB_DIR/sim_j8.json"
 echo "robust: suite.quarantined --jobs-invariant"
 
-echo "=== 7/11: columnar-trace gate (ASan+UBSan) ==="
+echo "=== 7/12: columnar-trace gate (ASan+UBSan) ==="
 cmake --build build-asan -j "$JOBS" --target test_columnar
 
 # Round-trip, tier-eviction, and blob-corruption properties with
@@ -201,7 +206,7 @@ cmp "$COL_DIR/stats_j1.txt" "$COL_DIR/stats_j8.txt"
     "$COL_DIR/stats_j1.json" "$COL_DIR/stats_j8.json"
 echo "columnar: trace-stats output and trace.* --jobs-invariant"
 
-echo "=== 8/11: out-of-core gate (ASan+UBSan) ==="
+echo "=== 8/12: out-of-core gate (ASan+UBSan) ==="
 cmake --build build-asan -j "$JOBS" --target \
     test_io test_shard_store test_streaming
 
@@ -267,7 +272,7 @@ echo "ooc: shard-stats deterministic"
     --ingest-budget-mb 32 --jobs 8 > /dev/null
 echo "ooc: 10x workload streamed under a 32 MiB window"
 
-echo "=== 9/11: telemetry + run-ledger gate ==="
+echo "=== 9/12: telemetry + run-ledger gate ==="
 cmake --build build-tsan -j "$JOBS" --target test_telemetry
 ./build-tsan/tests/test_telemetry
 cmake --build build-asan -j "$JOBS" --target test_telemetry
@@ -358,7 +363,7 @@ fi
     --max-latency-pct 10000000 --max-footprint-pct 200
 echo "telemetry: regression watchdog verdicts correct"
 
-echo "=== 10/11: simulator-core gate ==="
+echo "=== 10/12: simulator-core gate ==="
 cmake --build build-tsan -j "$JOBS" --target test_sim_core
 ./build-tsan/tests/test_sim_core
 cmake --build build-asan -j "$JOBS" --target test_sim_core
@@ -412,7 +417,7 @@ SIEVE_SIM_ENGINE=reference ./build-ci/bench/bench_perf --reps 2 \
     --smoke --jobs 8 --out "$SIM_DIR/bench_smoke_reference.json"
 echo "simcore: perf smoke passes on the reference engine"
 
-echo "=== 11/11: serving gate ==="
+echo "=== 11/12: serving gate ==="
 cmake --build build-tsan -j "$JOBS" --target test_serve test_serve_soak
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_serve_soak
@@ -485,6 +490,31 @@ for j in 1 4 8; do
     wait "$SRV_PID"
 done
 echo "serve: responses byte-identical to the CLI at jobs 1/4/8"
+
+echo "=== 12/12: argument errors and benchmark tests ==="
+ARG_DIR=build-ci/arg-gate
+rm -rf "$ARG_DIR" && mkdir -p "$ARG_DIR"
+# Each malformed value must be refused with exit code 1 (a usage
+# error through fatal()), not a signal (134 = uncaught exception) and
+# not a run on a prefix of the value.
+for bad in "evaluate gru --theta abc" "sample gru --theta 0.4x" \
+    "evaluate gru --jobs -1"; do
+    set +e
+    # shellcheck disable=SC2086
+    (cd "$ARG_DIR" && ../tools/sieve $bad) > /dev/null \
+        2> "$ARG_DIR/stderr.txt"
+    status=$?
+    set -e
+    if [ "$status" -ne 1 ] || ! grep -q "usage:" "$ARG_DIR/stderr.txt"; then
+        echo "args: 'sieve $bad' exited $status, expected 1 with usage" >&2
+        cat "$ARG_DIR/stderr.txt" >&2
+        exit 1
+    fi
+done
+echo "args: malformed numeric flags are usage errors"
+
+python3 perfbench/run.py test
+echo "bench: perfbench tests passed"
 
 echo
 echo "ci: all gates passed"

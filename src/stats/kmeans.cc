@@ -13,20 +13,31 @@
 
 namespace sieve::stats {
 
+namespace {
+
+/** Squared Euclidean distance of two raw rows; the one definition of
+ *  the arithmetic, so every caller gets the same bits. */
+inline double
+rowDistance(const double *x, const double *y, size_t dims)
+{
+    double sum = 0.0;
+    for (size_t c = 0; c < dims; ++c) {
+        double d = x[c] - y[c];
+        sum += d * d;
+    }
+    return sum;
+}
+
+} // namespace
+
 double
 squaredDistance(const Matrix &a, size_t row_a, const Matrix &b,
                 size_t row_b)
 {
     SIEVE_ASSERT(a.cols() == b.cols(), "dimension mismatch ", a.cols(),
                  " vs ", b.cols());
-    std::span<const double> x = a.rowSpan(row_a);
-    std::span<const double> y = b.rowSpan(row_b);
-    double sum = 0.0;
-    for (size_t c = 0; c < x.size(); ++c) {
-        double d = x[c] - y[c];
-        sum += d * d;
-    }
-    return sum;
+    return rowDistance(a.rowSpan(row_a).data(), b.rowSpan(row_b).data(),
+                       a.cols());
 }
 
 std::vector<size_t>
@@ -89,14 +100,27 @@ makeKMeansContext(const Matrix &data)
         ++ctx.multiplicity[it->second];
     }
 
-    ctx.pointNorms.resize(ctx.firstRow.size());
-    for (size_t d = 0; d < ctx.firstRow.size(); ++d) {
+    size_t m = ctx.firstRow.size();
+    ctx.points.resize(m * dims);
+    ctx.pointNorms.resize(m);
+    for (size_t d = 0; d < m; ++d) {
         std::span<const double> row = data.rowSpan(ctx.firstRow[d]);
+        std::copy(row.begin(), row.end(), ctx.points.begin() + d * dims);
         double sum = 0.0;
         for (double v : row)
             sum += v * v;
         ctx.pointNorms[d] = std::sqrt(sum);
     }
+
+    // Counting sort by distinct id keeps each row's observations
+    // ascending.
+    ctx.rowStart.assign(m + 1, 0);
+    for (size_t d = 0; d < m; ++d)
+        ctx.rowStart[d + 1] = ctx.rowStart[d] + ctx.multiplicity[d];
+    ctx.rowObservations.resize(n);
+    std::vector<size_t> fill(ctx.rowStart.begin(), ctx.rowStart.end() - 1);
+    for (size_t i = 0; i < n; ++i)
+        ctx.rowObservations[fill[ctx.distinctOf[i]]++] = i;
     return ctx;
 }
 
@@ -112,6 +136,14 @@ namespace {
 // is always exact.)
 constexpr double kInflate = 1.0 + 1e-12;
 constexpr double kDeflate = 1.0 - 1e-12;
+
+/** One distinct row's assignment pass: its centroid, and whether it
+ *  needed the full scan. */
+struct Visit
+{
+    size_t to;
+    bool scanned;
+};
 
 /**
  * Half the distance to each centroid's nearest other centroid,
@@ -176,16 +208,17 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
     c_distinct.add(m);
 
     constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::vector<size_t> &distinct_of = context->distinctOf;
+    const double *points = context->points.data();
+    auto point = [&](size_t d) { return points + d * dims; };
 
     // --- k-means++ seeding (identical arithmetic to the reference) ---
-    // Distances are pure functions of the row bytes, so each round
-    // evaluates the new centroid's distance once per *distinct* row
-    // and fans it out; the min/total accumulation still walks the
-    // observations in reference order, so every rng draw and every
-    // sum is bit-identical.
+    // Distances are pure functions of the row bytes, so each distinct
+    // row keeps one running min-distance; the total and the weighted
+    // draw still walk the observations in reference order, so every
+    // rng draw and every sum is bit-identical.
     Matrix centroids(k, dims);
-    std::vector<double> min_dist(n, kInf);
-    std::vector<double> dist_to_new(m);
+    std::vector<double> min_dist(m, kInf);
 
     size_t first = static_cast<size_t>(
         rng.uniformInt(0, static_cast<int64_t>(n) - 1));
@@ -193,22 +226,20 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
         centroids.at(0, c) = data.at(first, c);
 
     for (size_t centroid = 1; centroid < k; ++centroid) {
-        auto distOne = [&](size_t d) {
-            dist_to_new[d] = squaredDistance(
-                data, context->firstRow[d], centroids, centroid - 1);
+        const double *latest = centroids.rowSpan(centroid - 1).data();
+        auto foldOne = [&](size_t d) {
+            min_dist[d] = std::min(min_dist[d],
+                                   rowDistance(point(d), latest, dims));
         };
         if (pool)
-            parallelFor(*pool, m, distOne);
+            parallelFor(*pool, m, foldOne);
         else
             for (size_t d = 0; d < m; ++d)
-                distOne(d);
+                foldOne(d);
 
         double total = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            min_dist[i] = std::min(min_dist[i],
-                                   dist_to_new[context->distinctOf[i]]);
-            total += min_dist[i];
-        }
+        for (size_t i = 0; i < n; ++i)
+            total += min_dist[distinct_of[i]];
         size_t chosen;
         if (total <= 0.0) {
             // All points coincide with existing centroids; any pick
@@ -220,7 +251,7 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
             double acc = 0.0;
             chosen = n - 1;
             for (size_t i = 0; i < n; ++i) {
-                acc += min_dist[i];
+                acc += min_dist[distinct_of[i]];
                 if (r < acc) {
                     chosen = i;
                     break;
@@ -233,33 +264,48 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
 
     // --- Lloyd iterations, Hamerly bounds-pruned exact assignment ---
     //
-    // Per distinct row we keep the assigned centroid, its *exact*
-    // squared distance (recomputed every iteration — the inertia
-    // needs it regardless, so the classic Hamerly upper bound is
-    // always tight and free), and a certified Euclidean lower bound
-    // on the nearest *other* centroid. The full scan is skipped only
-    // when inflated-exact-distance < max(lower bound, half-separation
-    // of the assigned centroid): that certifies the assigned centroid
-    // is the unique strict argmin, which is exactly what the
+    // Per distinct row we keep the assigned centroid, an inflated
+    // Euclidean upper bound on its distance to that centroid, and a
+    // deflated lower bound on its distance to every *other* centroid.
+    // Both are brought up to date with the last centroid movement
+    // when the row is visited: u grows by its own centroid's delta,
+    // l shrinks by the largest delta among the other centroids. The
+    // row is skipped when u < max(l, half-separation of its
+    // centroid); failing that, u is tightened to the exact distance
+    // and tested again. Either pass certifies that the assigned
+    // centroid is the unique strict argmin, which is exactly what the
     // reference's ascending strict-< scan would select (uniqueness
-    // makes the lowest-index tie-break moot). Otherwise the fallback
-    // *is* the reference scan — ascending centroid order, exact
-    // squaredDistance, strict `<` — with centroids skipped only when
-    // the deflated norm-difference bound |  ||x|| - ||c||  |^2 already
-    // proves they cannot beat the current best.
+    // makes the lowest-index tie-break moot). Otherwise the row runs
+    // the reference scan — ascending centroid order, exact distance,
+    // strict `<` — with centroids skipped only when the deflated
+    // norm-difference bound |  ||x|| - ||c||  |^2 already proves they
+    // cannot beat the current best.
     KMeansResult result;
     result.assignments.assign(n, 0);
-    std::vector<size_t> counts(k, 0);
+    std::vector<uint64_t> counts(k, 0);
+    counts[0] = n;
 
     std::vector<size_t> assign_d(m, 0);
-    std::vector<double> dist_d(m, 0.0);
+    std::vector<double> upper_d(m, kInf);
     std::vector<double> lower_d(m, -kInf);
-    std::vector<uint8_t> scanned_d(m, 0);
+    std::vector<Visit> visits(pool ? m : 0);
 
     std::vector<double> cent_norms(k); //!< Euclidean, for screening
     std::vector<double> s_half(k);
-    std::vector<double> delta(k);
+    std::vector<double> delta(k, 0.0); //!< last movement, inflated
+    std::vector<uint8_t> dirty(k, 1);
+    Matrix sums(k + 1, dims); //!< per-cluster sums, then a scratch row
+    std::vector<double *> target(k);
     Matrix prev_centroids;
+    // Largest and second-largest movement, and who moved most: the
+    // lower bound of a row assigned to `delta_argmax` decays by the
+    // runner-up, every other row's by the maximum.
+    double delta_max = 0.0;
+    double delta_second = 0.0;
+    size_t delta_argmax = 0;
+    // True when the centroids moved after the last assignment, i.e.
+    // the final assignment (and so the inertia) used prev_centroids.
+    bool updated_after_assign = false;
 
     uint64_t pruned_total = 0;
     uint64_t scans_total = 0;
@@ -273,17 +319,31 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
             cent_norms[c] = std::sqrt(sum);
         }
         computeHalfSeparations(centroids, s_half);
+        const double *cent = centroids.rowSpan(0).data();
 
-        auto assignOne = [&](size_t d) {
-            size_t row = context->firstRow[d];
+        auto assignOne = [&](size_t d) -> Visit {
             size_t a = assign_d[d];
-            double d_a = squaredDistance(data, row, centroids, a);
-            double u = std::sqrt(d_a) * kInflate;
-            if (u < std::max(lower_d[d], s_half[a])) {
-                dist_d[d] = d_a;
-                scanned_d[d] = 0;
-                return;
+            // Branch-free decay: a zero movement only costs the bound
+            // one more factor of slack.
+            double u = (upper_d[d] + delta[a]) * kInflate;
+            double l = lower_d[d] -
+                       (a == delta_argmax ? delta_second : delta_max);
+            // Deflating a positive bound keeps it conservative; a
+            // negative bound never enables a prune, and only decays
+            // further.
+            l *= l > 0.0 ? kDeflate : 1.0;
+            lower_d[d] = l;
+            double bound = std::max(l, s_half[a]);
+            if (u < bound) {
+                upper_d[d] = u;
+                return {a, false};
             }
+            const double *x = point(d);
+            double d_a = rowDistance(x, cent + a * dims, dims);
+            u = std::sqrt(d_a) * kInflate;
+            upper_d[d] = u;
+            if (u < bound)
+                return {a, false};
 
             double pnorm = context->pointNorms[d];
             size_t best = 0;
@@ -308,10 +368,8 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
                         continue;
                     }
                 }
-                double dist = c == a
-                                  ? d_a
-                                  : squaredDistance(data, row,
-                                                    centroids, c);
+                double dist =
+                    c == a ? d_a : rowDistance(x, cent + c * dims, dims);
                 if (dist < best_dist) {
                     sec = best_dist;
                     best_dist = dist;
@@ -320,89 +378,113 @@ kMeans(const Matrix &data, size_t k, Rng rng, size_t max_iters,
                     sec = dist;
                 }
             }
-            assign_d[d] = best;
-            dist_d[d] = best_dist;
+            upper_d[d] = std::sqrt(best_dist) * kInflate;
             lower_d[d] = std::sqrt(sec) * kDeflate;
-            scanned_d[d] = 1;
+            return {best, true};
         };
-        if (pool)
-            parallelFor(*pool, m, assignOne);
-        else
-            for (size_t d = 0; d < m; ++d)
-                assignOne(d);
 
-        for (size_t d = 0; d < m; ++d) {
-            if (scanned_d[d])
-                ++scans_total;
-            else
-                ++pruned_total;
-        }
-
-        // Serial in-order reduction: changed flag and inertia see the
-        // observations in the same sequence as the reference loop,
-        // with each duplicate contributing the identical bits its
-        // distinct row computed.
+        // Serial, per distinct row: the changed flag, the dirty
+        // clusters and the member counts follow from the old and new
+        // assignments; only the observations of moved rows are
+        // rewritten. The pool path settles after the parallel pass,
+        // the serial one right behind each visit — integer updates in
+        // either order give the same state.
         bool changed = false;
-        result.inertia = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            size_t d = context->distinctOf[i];
-            if (result.assignments[i] != assign_d[d]) {
-                result.assignments[i] = assign_d[d];
-                changed = true;
-            }
-            result.inertia += dist_d[d];
+        auto settle = [&](size_t d, Visit visit) {
+            ++(visit.scanned ? scans_total : pruned_total);
+            size_t from = assign_d[d];
+            if (visit.to == from)
+                return;
+            changed = true;
+            dirty[from] = 1;
+            dirty[visit.to] = 1;
+            counts[from] -= context->multiplicity[d];
+            counts[visit.to] += context->multiplicity[d];
+            assign_d[d] = visit.to;
+            for (size_t j = context->rowStart[d];
+                 j < context->rowStart[d + 1]; ++j)
+                result.assignments[context->rowObservations[j]] =
+                    visit.to;
+        };
+        if (pool) {
+            parallelFor(*pool, m,
+                        [&](size_t d) { visits[d] = assignOne(d); });
+            for (size_t d = 0; d < m; ++d)
+                settle(d, visits[d]);
+        } else {
+            for (size_t d = 0; d < m; ++d)
+                settle(d, assignOne(d));
         }
         result.iterations = iter + 1;
+        updated_after_assign = false;
         if (!changed && iter > 0)
             break;
 
-        // Recompute centroids; empty clusters keep their old position.
-        // Per-observation accumulation in reference order — duplicate
-        // multiplicities must NOT be folded into weighted sums here,
-        // because count * x and x + x + ... round differently.
+        // Recompute the dirty centroids; empty clusters keep their old
+        // position. Per-observation accumulation in reference order —
+        // duplicate multiplicities must NOT be folded into weighted
+        // sums here, because count * x and x + x + ... round
+        // differently. (Every cluster is dirty on the first pass: the
+        // seeds are not means.)
         prev_centroids = centroids;
-        Matrix next(k, dims);
-        std::fill(counts.begin(), counts.end(), 0);
-        for (size_t i = 0; i < n; ++i) {
-            size_t c = result.assignments[i];
-            ++counts[c];
-            std::span<const double> row = data.rowSpan(i);
-            std::span<double> acc = next.rowSpan(c);
-            for (size_t d = 0; d < dims; ++d)
-                acc[d] += row[d];
-        }
         for (size_t c = 0; c < k; ++c) {
+            if (dirty[c]) {
+                std::span<double> acc = sums.rowSpan(c);
+                std::fill(acc.begin(), acc.end(), 0.0);
+            }
+        }
+        // Members of clean clusters fold into a scratch row instead of
+        // branching on every observation.
+        for (size_t c = 0; c < k; ++c)
+            target[c] = sums.rowSpan(dirty[c] ? c : k).data();
+        const double *rows = data.rowSpan(0).data();
+        for (size_t i = 0; i < n; ++i) {
+            const double *row = rows + i * dims;
+            double *acc = target[result.assignments[i]];
+            for (size_t j = 0; j < dims; ++j)
+                acc[j] += row[j];
+        }
+        delta_max = 0.0;
+        delta_second = 0.0;
+        delta_argmax = 0;
+        for (size_t c = 0; c < k; ++c) {
+            delta[c] = 0.0;
+            if (!dirty[c])
+                continue;
+            dirty[c] = 0;
             if (counts[c] == 0)
                 continue;
             double inv = 1.0 / static_cast<double>(counts[c]);
-            std::span<const double> acc = next.rowSpan(c);
-            std::span<double> cent = centroids.rowSpan(c);
-            for (size_t d = 0; d < dims; ++d)
-                cent[d] = acc[d] * inv;
-        }
-
-        // Decay the lower bounds by the largest (inflated) centroid
-        // movement; exact distances are recomputed next iteration, so
-        // no upper bound needs maintenance.
-        double max_delta = 0.0;
-        for (size_t c = 0; c < k; ++c) {
+            std::span<const double> acc = sums.rowSpan(c);
+            std::span<double> centre = centroids.rowSpan(c);
+            for (size_t j = 0; j < dims; ++j)
+                centre[j] = acc[j] * inv;
             delta[c] = std::sqrt(squaredDistance(prev_centroids, c,
                                                  centroids, c)) *
                        kInflate;
-            max_delta = std::max(max_delta, delta[c]);
-        }
-        if (max_delta > 0.0) {
-            for (size_t d = 0; d < m; ++d) {
-                double l = lower_d[d];
-                if (std::isinf(l))
-                    continue; // k == 1: no other centroid, ever
-                l -= max_delta;
-                // Deflating a positive bound keeps it conservative; a
-                // negative bound never enables a prune, and only
-                // decays further.
-                lower_d[d] = l > 0.0 ? l * kDeflate : l;
+            if (delta[c] > delta_max) {
+                delta_second = delta_max;
+                delta_max = delta[c];
+                delta_argmax = c;
+            } else if (delta[c] > delta_second) {
+                delta_second = delta[c];
             }
         }
+        updated_after_assign = true;
+    }
+
+    // Inertia once, in observation order, against the centroids the
+    // final assignment was made with: the reference sums the same
+    // per-row distances inside that assignment pass.
+    if (result.iterations > 0) {
+        const Matrix &used =
+            updated_after_assign ? prev_centroids : centroids;
+        const double *cent = used.rowSpan(0).data();
+        std::vector<double> dist(m);
+        for (size_t d = 0; d < m; ++d)
+            dist[d] = rowDistance(point(d), cent + assign_d[d] * dims, dims);
+        for (size_t i = 0; i < n; ++i)
+            result.inertia += dist[distinct_of[i]];
     }
 
     c_iters.add(result.iterations);

@@ -57,8 +57,9 @@ struct KMeansResult
 /**
  * Precomputed, data-dependent (but k- and seed-independent) state
  * shared across every k-means run over the same observation matrix:
- * the bitwise-distinct rows with their duplicate multiplicities, and
- * the Euclidean norm of each distinct row.
+ * the bitwise-distinct rows with their duplicate multiplicities, the
+ * Euclidean norm of each distinct row, a contiguous copy of the
+ * distinct rows, and the observations of each distinct row.
  *
  * PKS feature matrices are duplicate-heavy (content-identical kernel
  * invocations produce bitwise-equal feature rows, and the row-wise
@@ -79,6 +80,14 @@ struct KMeansContext
     std::vector<uint64_t> multiplicity;
     /** Distinct-row id -> Euclidean norm of the row. */
     std::vector<double> pointNorms;
+    /** Distinct rows, row-major (numDistinct() x dims), same bytes. */
+    std::vector<double> points;
+    /**
+     * Distinct row d owns observations
+     * rowObservations[rowStart[d] .. rowStart[d + 1]), ascending.
+     */
+    std::vector<size_t> rowStart;
+    std::vector<size_t> rowObservations;
 
     size_t numPoints() const { return distinctOf.size(); }
     size_t numDistinct() const { return firstRow.size(); }
@@ -88,30 +97,37 @@ struct KMeansContext
 KMeansContext makeKMeansContext(const Matrix &data);
 
 /**
- * Run k-means (k-means++ seeding, Lloyd refinement).
+ * Run k-means (k-means++ seeding, Lloyd refinement), bit-identical to
+ * stats::reference::kMeans (DESIGN.md §8) at any worker count. The
+ * work per Lloyd iteration follows what changed:
  *
- * The Lloyd assignment step is a Hamerly-style bounds-pruned *exact*
- * search: per distinct row it keeps the exact distance to the
- * assigned centroid (needed for the inertia anyway) plus certified
- * lower bounds on every other centroid, and skips the full centroid
- * scan whenever the bounds prove the assignment cannot change. All
- * bounds carry conservative floating-point slack, so a skip is only
- * taken when the assigned centroid is provably the *unique strict*
- * argmin — making the reference tie-break moot — and the fallback is
- * the reference's own ascending strict-< scan. Duplicate rows share
- * one evaluation. The changed/inertia reduction and the centroid
- * recomputation always run serially in observation order, so results
- * are byte-identical at any worker count (and to the retained
- * reference implementation; see DESIGN.md §8).
+ *  - Assignment is Hamerly-pruned per distinct row. An inflated upper
+ *    bound on the distance to the assigned centroid and a deflated
+ *    lower bound on every other centroid skip the row with no
+ *    distance at all; failing that, the upper bound is tightened to
+ *    the exact distance and tested again. A prune only happens when
+ *    the assigned centroid is provably the *unique strict* argmin,
+ *    which is what the reference's ascending strict-< scan selects;
+ *    otherwise the row runs that very scan.
+ *  - The bounds decay by the centroid movements when a row is
+ *    visited, not in a pass of their own.
+ *  - Only dirty clusters (one a row entered or left) re-sum their
+ *    members, still in observation order. A clean cluster would fold
+ *    the same values in the same order, so its centroid keeps its
+ *    bits and does not move.
+ *  - The inertia is summed once, in observation order, against the
+ *    centroids the final assignment used.
+ *
+ * Duplicate rows share one evaluation throughout.
  *
  * @param data observations (rows) in feature space
  * @param k number of clusters; clamped to the number of rows
  * @param rng deterministic random stream for seeding
  * @param max_iters Lloyd iteration cap
- * @param pool optional worker pool for the assignment step
- * @param context optional precomputed row-dedup/norm context for
- *        `data` (built internally when absent; pass one to amortize
- *        it across a k sweep)
+ * @param pool optional worker pool for seeding and assignment
+ * @param context optional precomputed context for `data` (built
+ *        internally when absent; pass one to amortize it across a
+ *        k sweep)
  */
 KMeansResult kMeans(const Matrix &data, size_t k, Rng rng,
                     size_t max_iters = 100, ThreadPool *pool = nullptr,

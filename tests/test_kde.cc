@@ -166,6 +166,16 @@ struct StratifyCase
     double theta;
 };
 
+// Without a printer gtest lists the case as a byte dump of the struct,
+// which holds the address of `name` and padding bytes: the listed test
+// names would then change from one process to the next.
+void
+PrintTo(const StratifyCase &c, std::ostream *os)
+{
+    *os << c.name << " seed=" << c.seed << " shape=" << c.shape
+        << " theta=" << c.theta;
+}
+
 class StratifyInvariant : public ::testing::TestWithParam<StratifyCase>
 {
   public:

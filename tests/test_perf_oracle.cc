@@ -252,23 +252,94 @@ TEST(PerfOracle, KMeansMatchesReferenceOnDegenerateData)
 }
 
 /** Assert optimized == reference at 1 worker, 8 workers, and with an
- *  explicitly shared KMeansContext. */
-void
-expectKMeansMatchesReference(const Matrix &data, size_t k, Rng rng)
+ *  explicitly shared KMeansContext. Returns the reference result. */
+KMeansResult
+expectKMeansMatchesReference(const Matrix &data, size_t k, Rng rng,
+                             size_t max_iters = 100)
 {
     ThreadPool pool(8);
     KMeansContext ctx = makeKMeansContext(data);
-    KMeansResult ref = reference::kMeans(data, k, rng);
-    KMeansResult serial = kMeans(data, k, rng);
-    KMeansResult pooled = kMeans(data, k, rng, 100, &pool);
-    KMeansResult shared = kMeans(data, k, rng, 100, &pool, &ctx);
+    KMeansResult ref = reference::kMeans(data, k, rng, max_iters);
+    KMeansResult serial = kMeans(data, k, rng, max_iters);
+    KMeansResult pooled = kMeans(data, k, rng, max_iters, &pool);
+    KMeansResult shared = kMeans(data, k, rng, max_iters, &pool, &ctx);
 
     for (const KMeansResult *r : {&serial, &pooled, &shared}) {
         EXPECT_EQ(r->assignments, ref.assignments);
         EXPECT_EQ(r->iterations, ref.iterations);
-        EXPECT_EQ(r->inertia, ref.inertia); // exact, not near
+        // Exact bits, not near.
+        EXPECT_EQ(std::memcmp(&r->inertia, &ref.inertia, sizeof(double)),
+                  0)
+            << r->inertia << " vs " << ref.inertia;
         EXPECT_TRUE(matrixBitsEqual(r->centroids, ref.centroids));
     }
+    return ref;
+}
+
+TEST(PerfOracle, KMeansMatchesReferenceWhenCutOffByMaxIters)
+{
+    // A run stopped by max_iters reports the inertia of its last
+    // assignment, made with the centroids *before* the final update,
+    // while `centroids` holds the updated ones.
+    for (uint64_t seed : {61u, 62u}) {
+        Matrix data = randomMatrix(400, 3, seed);
+        for (size_t k : {5u, 9u}) {
+            Rng rng(seed * 100 + k);
+            size_t converged = reference::kMeans(data, k, rng).iterations;
+            ASSERT_GT(converged, 4u) << "seed " << seed << " k " << k;
+            for (size_t max_iters : {1u, 2u, 3u}) {
+                KMeansResult ref = expectKMeansMatchesReference(
+                    data, k, rng, max_iters);
+                EXPECT_EQ(ref.iterations, max_iters);
+            }
+        }
+    }
+}
+
+TEST(PerfOracle, KMeansMatchesReferenceOnPartlyCleanIterations)
+{
+    // Twelve tight, far-apart blobs of duplicated rows plus a few
+    // points strung between two of them. With k above the blob count
+    // the seeding splits some blobs, so those clusters trade members
+    // for several rounds while the others keep theirs exactly.
+    Rng gen(909);
+    std::vector<std::vector<double>> rows;
+    for (size_t b = 0; b < 12; ++b) {
+        double cx = static_cast<double>(b % 4) * 100.0;
+        double cy = static_cast<double>(b / 4) * 100.0;
+        for (size_t p = 0; p < 10; ++p) {
+            std::vector<double> row = {cx + gen.normal(0.0, 2.0),
+                                       cy + gen.normal(0.0, 2.0)};
+            for (size_t dup = 0; dup < 1 + p % 3; ++dup)
+                rows.push_back(row);
+        }
+    }
+    for (size_t p = 1; p < 6; ++p)
+        rows.push_back({static_cast<double>(p) * 100.0 / 6.0, 0.0});
+    Matrix data = Matrix::fromRows(rows);
+    EXPECT_LT(makeKMeansContext(data).numDistinct(), data.rows());
+
+    size_t multi_round = 0;
+    for (size_t k : {13u, 14u, 16u}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            KMeansResult ref =
+                expectKMeansMatchesReference(data, k, Rng(seed * 17 + k));
+            multi_round += ref.iterations > 3;
+        }
+    }
+    EXPECT_GT(multi_round, 0u);
+
+    // More clusters than distinct rows in reach: some stay empty.
+    Matrix few(24, 2);
+    for (size_t r = 0; r < few.rows(); ++r) {
+        few.at(r, 0) = static_cast<double>(r % 4) * 50.0;
+        few.at(r, 1) = r % 8 < 4 ? 0.0 : 1.0;
+    }
+    KMeansResult sparse = expectKMeansMatchesReference(few, 12, Rng(5));
+    size_t empty = 0;
+    for (size_t size : sparse.clusterSizes())
+        empty += size == 0;
+    EXPECT_GT(empty, 0u);
 }
 
 TEST(PerfOracle, KMeansMatchesReferenceOnAllDuplicatePoints)

@@ -143,21 +143,30 @@ TEST(PksSampler, Deterministic)
 
 TEST(PksSampler, MatchesSerialReferencePipeline)
 {
-    Prepared p = prepare("lmr");
-    PksSampler pks;
-    ThreadPool pool(8);
-    SamplingResult opt =
-        pks.sample(p.workload, p.golden.perInvocation, &pool);
-    SamplingResult ref =
-        pks.sampleReference(p.workload, p.golden.perInvocation);
-    EXPECT_EQ(opt.method, ref.method);
-    EXPECT_EQ(opt.chosenK, ref.chosenK);
-    ASSERT_EQ(opt.strata.size(), ref.strata.size());
-    for (size_t i = 0; i < opt.strata.size(); ++i) {
-        EXPECT_EQ(opt.strata[i].members, ref.strata[i].members);
-        EXPECT_EQ(opt.strata[i].representative,
-                  ref.strata[i].representative);
-        EXPECT_EQ(opt.strata[i].weight, ref.strata[i].weight);
+    // lmr picks k = 1; lmc and spt run the most Lloyd iterations of
+    // the challenging set, so their sweeps exercise the bounds, the
+    // dirty-cluster sums and the final inertia at every k.
+    for (const char *name : {"lmr", "lmc", "spt"}) {
+        Prepared p = prepare(name);
+        PksSampler pks;
+        SamplingResult ref =
+            pks.sampleReference(p.workload, p.golden.perInvocation);
+        for (size_t workers : {1u, 8u}) {
+            SCOPED_TRACE(std::string(name) + " at " +
+                         std::to_string(workers) + " workers");
+            ThreadPool pool(workers);
+            SamplingResult opt =
+                pks.sample(p.workload, p.golden.perInvocation, &pool);
+            EXPECT_EQ(opt.method, ref.method);
+            EXPECT_EQ(opt.chosenK, ref.chosenK);
+            ASSERT_EQ(opt.strata.size(), ref.strata.size());
+            for (size_t i = 0; i < opt.strata.size(); ++i) {
+                EXPECT_EQ(opt.strata[i].members, ref.strata[i].members);
+                EXPECT_EQ(opt.strata[i].representative,
+                          ref.strata[i].representative);
+                EXPECT_EQ(opt.strata[i].weight, ref.strata[i].weight);
+            }
+        }
     }
 }
 

@@ -84,6 +84,7 @@
 
 #include "common/csv.hh"
 #include "common/logging.hh"
+#include "common/strings.hh"
 #include "common/thread_pool.hh"
 #include "obs/ledger.hh"
 #include "eval/experiment.hh"
@@ -181,7 +182,46 @@ class Args
         return _options.count(key) > 0;
     }
 
+    /** --key as a strict finite double, or `fallback` when absent. */
+    double
+    number(const std::string &key, double fallback) const
+    {
+        auto it = _options.find(key);
+        if (it == _options.end())
+            return fallback;
+        double value = 0.0;
+        NumericParse status = parseDouble(it->second, value);
+        if (status != NumericParse::Ok)
+            badValue(key, it->second, "a number", status);
+        return value;
+    }
+
+    /** --key as a strict unsigned integer, or `fallback` when absent. */
+    uint64_t
+    count(const std::string &key, uint64_t fallback) const
+    {
+        auto it = _options.find(key);
+        if (it == _options.end())
+            return fallback;
+        uint64_t value = 0;
+        NumericParse status = parseUint64(it->second, value);
+        if (status != NumericParse::Ok)
+            badValue(key, it->second, "an unsigned integer", status);
+        return value;
+    }
+
   private:
+    /** A malformed flag value is a usage error: fixed exit code 1
+     *  with the cause, never an exception. */
+    [[noreturn]] static void
+    badValue(const std::string &key, const std::string &text,
+             const char *expected, NumericParse status)
+    {
+        fatal("usage: --", key, " expects ", expected, ", got '", text,
+              "' (", numericParseMessage(status),
+              "); run `sieve` without arguments for the command list");
+    }
+
     std::vector<std::string> _positional;
     std::map<std::string, std::string> _options;
 };
@@ -299,7 +339,7 @@ ingestFromArgs(const Args &args)
     if (args.has("ingest-budget-mb")) {
         budget.budgetBytes =
             static_cast<size_t>(
-                std::stoull(args.get("ingest-budget-mb", "64"))) *
+                args.count("ingest-budget-mb", 64)) *
             1024 * 1024;
     }
     return budget;
@@ -310,7 +350,7 @@ eval::StreamConfig
 streamConfigFromArgs(const Args &args)
 {
     eval::StreamConfig cfg;
-    cfg.sieve = {std::stod(args.get("theta", "0.4"))};
+    cfg.sieve = {args.number("theta", 0.4)};
     cfg.budget = ingestFromArgs(args);
     cfg.arch = archFor(args.get("arch", "ampere"));
     return cfg;
@@ -376,7 +416,7 @@ cmdSample(const Args &args)
               "[--theta X] [--stream] [--ingest-budget-mb N] "
               "[-o FILE]");
     std::string method = args.get("method", "sieve");
-    double theta = std::stod(args.get("theta", "0.4"));
+    double theta = args.number("theta", 0.4);
 
     if (args.has("stream")) {
         // Out-of-core: profile + stratify windows of the .swl file;
@@ -427,7 +467,7 @@ cmdEvaluate(const Args &args)
               "[--arch A] [--theta X] [--stream] "
               "[--ingest-budget-mb N] [--jobs N]");
     std::string method = args.get("method", "sieve");
-    double theta = std::stod(args.get("theta", "0.4"));
+    double theta = args.number("theta", 0.4);
 
     if (args.has("stream")) {
         // Out-of-core: two bounded passes over the .swl file (profile
@@ -435,7 +475,7 @@ cmdEvaluate(const Args &args)
         // byte-identical to the resident path below on any workload
         // both can hold, at any --jobs value.
         ThreadPool pool(static_cast<size_t>(
-            std::stoul(args.get("jobs", "0"))));
+            args.count("jobs", 0)));
         eval::StreamEvaluation ev =
             unwrapOrFatal(eval::streamEvaluate(
                 streamPath(args), streamConfigFromArgs(args), &pool));
@@ -462,7 +502,7 @@ tierFromArgs(const Args &args)
     if (args.has("trace-budget-mb")) {
         cfg.budgetBytes =
             static_cast<size_t>(
-                std::stoull(args.get("trace-budget-mb", "64"))) *
+                args.count("trace-budget-mb", 64)) *
             1024 * 1024;
     }
     return cfg;
@@ -497,11 +537,10 @@ cmdTrace(const Args &args)
         fatal("usage: sieve trace <workload> [--out DIR] [--theta X] "
               "[--ctas N] [--trace-budget-mb N] [--stream] "
               "[--ingest-budget-mb N]");
-    double theta = std::stod(args.get("theta", "0.4"));
+    double theta = args.number("theta", 0.4);
 
     gpusim::TraceSynthOptions synth;
-    synth.maxTracedCtas =
-        static_cast<uint64_t>(std::stoul(args.get("ctas", "32")));
+    synth.maxTracedCtas = args.count("ctas", 32);
 
     if (args.has("stream")) {
         // Out-of-core: stratify from the stream, then fetch only the
@@ -572,11 +611,10 @@ cmdTraceStats(const Args &args)
         fatal("usage: sieve trace-stats <workload>... [--theta X] "
               "[--ctas N] [--trace-budget-mb N] [--jobs N] [--csv] "
               "[-o FILE]");
-    double theta = std::stod(args.get("theta", "0.4"));
+    double theta = args.number("theta", 0.4);
 
     gpusim::TraceSynthOptions synth;
-    synth.maxTracedCtas =
-        static_cast<uint64_t>(std::stoul(args.get("ctas", "32")));
+    synth.maxTracedCtas = args.count("ctas", 32);
 
     std::vector<workloads::WorkloadSpec> specs;
     specs.reserve(args.positional().size());
@@ -586,7 +624,7 @@ cmdTraceStats(const Args &args)
     eval::ExperimentContext ctx;
     eval::SuiteRunner runner(
         ctx, {static_cast<size_t>(
-                 std::stoul(args.get("jobs", "0")))});
+                 args.count("jobs", 0))});
     std::vector<eval::WorkloadTraceStats> rows = runner.traceStats(
         specs, {theta}, synth, tierFromArgs(args));
 
@@ -648,11 +686,10 @@ cmdShardStats(const Args &args)
         fatal("usage: sieve shard-stats <workload>... [--theta X] "
               "[--ctas N] [--shards N] [--dir D] [--content-seeded] "
               "[--trace-budget-mb N] [--csv] [-o FILE]");
-    double theta = std::stod(args.get("theta", "0.4"));
+    double theta = args.number("theta", 0.4);
 
     gpusim::TraceSynthOptions synth;
-    synth.maxTracedCtas =
-        static_cast<uint64_t>(std::stoul(args.get("ctas", "32")));
+    synth.maxTracedCtas = args.count("ctas", 32);
     synth.contentSeeded = args.has("content-seeded");
 
     // The store lives where --dir points; without it, in a scratch
@@ -666,7 +703,7 @@ cmdShardStats(const Args &args)
                 : std::filesystem::path(args.get("dir", ""));
     trace::ShardStoreConfig store_cfg;
     store_cfg.numShards =
-        static_cast<size_t>(std::stoul(args.get("shards", "8")));
+        static_cast<size_t>(args.count("shards", 8));
     trace::ShardStore store = unwrapOrFatal(
         trace::ShardStore::tryCreate(dir.string(), store_cfg));
 
@@ -763,7 +800,7 @@ cmdExport(const Args &args)
         fatal("usage: sieve export <workload> [--cap N] [-o FILE]");
     const std::string &name = args.positional()[0];
     size_t cap =
-        static_cast<size_t>(std::stoul(args.get("cap", "0")));
+        static_cast<size_t>(args.count("cap", 0));
     trace::Workload wl = [&] {
         if (cap == 0)
             return resolveWorkload(name);
@@ -819,7 +856,7 @@ cmdSimulate(const Args &args)
     // is quarantined and reported while the rest simulate — and
     // summarize one row per trace.
     ThreadPool pool(static_cast<size_t>(
-        std::stoul(args.get("jobs", "0"))));
+        args.count("jobs", 0)));
     gpusim::IsolatedBatchSimResult batch =
         gpusim::simulateTraceFilesIsolated(sim, args.positional(),
                                            pool);
@@ -868,15 +905,14 @@ int
 cmdFuzzIngest(const Args &args)
 {
     testing::FuzzOptions opts;
-    opts.seed = static_cast<uint64_t>(
-        std::stoull(args.get("seed", "20803")));
+    opts.seed = args.count("seed", 20803);
     opts.mutationsPerFormat = static_cast<size_t>(
-        std::stoul(args.get("mutations", "200")));
+        args.count("mutations", 200));
     if (args.has("smoke"))
         opts.mutationsPerFormat =
             std::min<size_t>(opts.mutationsPerFormat, 50);
     opts.jobs =
-        static_cast<size_t>(std::stoul(args.get("jobs", "0")));
+        static_cast<size_t>(args.count("jobs", 0));
 
     testing::FuzzReport report = testing::runFuzzIngest(opts);
     std::printf("%s\n", report.summary().c_str());
@@ -1235,11 +1271,11 @@ cmdRunsRegress(const Args &args, const std::string &path,
 {
     obs::RegressOptions opts;
     opts.window = static_cast<size_t>(
-        std::stoul(args.get("window", "5")));
-    opts.maxLatencyPct = std::stod(args.get("max-latency-pct", "10"));
+        args.count("window", 5));
+    opts.maxLatencyPct = args.number("max-latency-pct", 10.0);
     opts.maxFootprintPct =
-        std::stod(args.get("max-footprint-pct", "10"));
-    opts.maxWallPct = std::stod(args.get("max-wall-pct", "0"));
+        args.number("max-footprint-pct", 10.0);
+    opts.maxWallPct = args.number("max-wall-pct", 0.0);
     opts.allowCounterDrift = args.has("allow-counter-drift");
 
     const obs::RunManifest &candidate = ledger.runs.back();
@@ -1324,12 +1360,19 @@ naturalLess(const std::string &a, const std::string &b)
             while (j < b.size() &&
                    std::isdigit(static_cast<unsigned char>(b[j])))
                 ++j;
-            unsigned long long na =
-                std::stoull(a.substr(i0, i - i0));
-            unsigned long long nb =
-                std::stoull(b.substr(j0, j - j0));
-            if (na != nb)
+            std::string_view da(a.data() + i0, i - i0);
+            std::string_view db(b.data() + j0, j - j0);
+            uint64_t na = 0, nb = 0;
+            if (parseUint64(da, na) != NumericParse::Ok ||
+                parseUint64(db, nb) != NumericParse::Ok) {
+                // Beyond uint64: the longer digit run is larger.
+                if (da.size() != db.size())
+                    return da.size() < db.size();
+                if (da != db)
+                    return da < db;
+            } else if (na != nb) {
                 return na < nb;
+            }
         } else {
             if (a[i] != b[j])
                 return a[i] < b[j];
@@ -1443,9 +1486,9 @@ cmdServe(const Args &args)
         fatal("usage: sieve serve --socket PATH [--jobs N] "
               "[--max-queue N] [--quota N]");
     }
-    config.jobs = std::stoul(args.get("jobs", "0"));
-    config.maxQueue = std::stoul(args.get("max-queue", "64"));
-    config.perClientQuota = std::stoul(args.get("quota", "8"));
+    config.jobs = args.count("jobs", 0);
+    config.maxQueue = args.count("max-queue", 64);
+    config.perClientQuota = args.count("quota", 8);
     config.pingDelayForTests = args.has("ping-delay-for-tests");
     serve::Server server(config);
     unwrapOrFatal(server.start());
@@ -1522,7 +1565,7 @@ cmdCall(const Args &args)
     serve::ServeClient client =
         unwrapOrFatal(serve::ServeClient::connect(socket));
     client.setReceiveTimeoutMs(static_cast<int>(
-        std::stoul(args.get("timeout-ms", "60000"))));
+        args.count("timeout-ms", 60000)));
     serve::ServeClient::Response reply =
         unwrapOrFatal(client.call(kind, payload));
     if (reply.status == serve::ResponseStatus::Ok) {
@@ -1547,9 +1590,9 @@ int
 cmdBenchServe(const Args &args)
 {
     serve::BenchServeOptions opts;
-    opts.connections = std::stoul(args.get("connections", "4"));
-    opts.requests = std::stoul(args.get("requests", "25"));
-    opts.jobs = std::stoul(args.get("jobs", "0"));
+    opts.connections = args.count("connections", 4);
+    opts.requests = args.count("requests", 25);
+    opts.jobs = args.count("jobs", 0);
     opts.smoke = args.has("smoke");
     opts.out = args.get("out", "BENCH_PR10.json");
     opts.socketPath = args.get("socket", "");
@@ -1663,7 +1706,7 @@ main(int argc, char **argv)
         std::vector<std::string> argv_vec(argv + 1, argv + argc);
         obs::setRunContext("sieve", std::move(argv_vec),
                            static_cast<int>(
-                               std::stoul(args.get("jobs", "0"))));
+                               args.count("jobs", 0)));
         obs::configureObsFromEnv();
         if (args.has("trace-out") || args.has("metrics-out") ||
             args.has("ledger") || args.has("telemetry")) {
@@ -1672,8 +1715,8 @@ main(int argc, char **argv)
             obs_opts.metricsOut = args.get("metrics-out", "");
             obs_opts.ledgerOut = args.get("ledger", "");
             obs_opts.telemetry = args.has("telemetry");
-            obs_opts.telemetryIntervalMs = static_cast<uint64_t>(
-                std::stoul(args.get("telemetry-interval-ms", "25")));
+            obs_opts.telemetryIntervalMs =
+                args.count("telemetry-interval-ms", 25);
             obs::configureObs(obs_opts);
         }
     }
