@@ -130,7 +130,7 @@ main(int argc, char **argv)
         // invocations with per-invocation trace noise, so the
         // distinct column usually equals the trace count here — the
         // cache's dedup win shows up on golden-style batches of
-        // content-identical invocations (see bench_perf's simBatch).
+        // content-identical invocations (see the SimCache_ tests).
         gpusim::BatchSimResult serial =
             gpusim::simulateTraceFiles(simulator, files, serial_pool);
         gpusim::BatchSimResult parallel = gpusim::simulateTraceFiles(

@@ -1,36 +1,34 @@
 #!/usr/bin/env bash
 # CI gate: strict build, full test suite, then the threaded tests
-# again under ThreadSanitizer, then the perf-harness smoke, then the
-# observability gate, then the ingestion-robustness gate, then the
-# columnar-trace gate, then the out-of-core gate, then the
-# simulator-core gate, then the serving gate, then the argument and
-# benchmark gate.
+# again under ThreadSanitizer, then the observability gate, then the
+# ingestion-robustness gate, then the columnar-trace gate, then the
+# out-of-core gate, then the simulator-core gate, then the serving
+# gate, then the argument and benchmark gate.
 #
 #   1. configure + build with -DSIEVE_WERROR=ON (warnings are errors)
-#   2. run the complete ctest suite
+#   2. run the complete ctest suite, including the byte-identity
+#      oracles (optimized vs reference, pooled vs serial, memoized
+#      simulation vs uncached) and, alone (RUN_SERIAL), the
+#      test_perf_floors timing floors in thread CPU time
 #   3. rebuild with -DSIEVE_SANITIZE=thread and run the
 #      concurrency-sensitive tests (thread pool, experiment context,
 #      suite runner, perf oracles, sim cache) under TSan
-#   4. bench_perf --smoke: fails on byte-identity (optimized vs
-#      reference, pooled vs serial, memoized simulation vs uncached)
-#      or JSON-schema violations — never on timing, so the gate is
-#      load-insensitive
-#   5. observability gate: run one suite bench with --trace-out and
+#   4. observability gate: run one suite bench with --trace-out and
 #      --metrics-out, validate both files through the tool's own
 #      parsers (`sieve trace-summary`, `sieve metrics-diff`), and
 #      diff the stable counters between --jobs 1, 4, and 8 — the
 #      determinism contract of DESIGN.md §7
-#   6. robustness gate: rebuild the fault-injection harness under
+#   5. robustness gate: rebuild the fault-injection harness under
 #      ASan+UBSan and run `sieve fuzz-ingest --smoke` plus the
 #      fault-injection/round-trip tests there; then check that the
 #      `ingest.errors.*` and `suite.quarantined` stable counters are
 #      --jobs-invariant through `sieve metrics-diff` (DESIGN.md §9)
-#   7. columnar-trace gate: the round-trip/hibernation property tests
+#   6. columnar-trace gate: the round-trip/hibernation property tests
 #      under ASan+UBSan (encode/decode, tier eviction, blob fuzz),
 #      then `sieve trace-stats` at --jobs 1 and 8 — stdout must be
 #      byte-identical and the trace.* stable counters must be
 #      --jobs-invariant (DESIGN.md §10)
-#   8. out-of-core gate: the mmap/shard-store/streaming property
+#   7. out-of-core gate: the mmap/shard-store/streaming property
 #      tests under ASan+UBSan, then the DESIGN.md §11 contracts on a
 #      real workload: `sieve evaluate --stream` must be byte-identical
 #      to the resident report at --jobs 1, 4, and 8 with the
@@ -39,7 +37,7 @@
 #      trace files, shard-stats must be run-to-run deterministic, and
 #      a 10x-scale synthetic workload must complete a streaming
 #      evaluation under a small --ingest-budget-mb
-#   9. telemetry + run-ledger gate: test_telemetry under TSan and
+#   8. telemetry + run-ledger gate: test_telemetry under TSan and
 #      ASan+UBSan; a suite bench at --jobs 1, 4, and 8 with the
 #      telemetry sampler on vs off — suite stdout must be
 #      byte-identical and the stable counters unchanged (the sampler
@@ -48,28 +46,26 @@
 #      `runs list --strict` and round-trip its counters through
 #      `metrics-diff`; and `runs regress` must exit 0 on an identical
 #      repeat but 1 on an injected >= 10% p95/footprint bump
-#  10. simulator-core gate: test_sim_core (timing wheel, open-addressed
+#   9. simulator-core gate: test_sim_core (timing wheel, open-addressed
 #      MSHR parity, engine parity, PKP determinism, zero steady-state
 #      allocations) under TSan and ASan+UBSan; `sieve simulate` on a
 #      real trace batch with SIEVE_SIM_ENGINE pinned to the event core
 #      and then to the retained reference oracle — the report (minus
 #      the wall-clock column) byte-identical and every stable counter
 #      (gpusim.* included) unchanged at --jobs 1, 4, and 8 (DESIGN.md
-#      §13); a reference-then-event ledger pair through `sieve runs
-#      regress` at the step-9 bounds; and bench_perf --smoke on the
-#      oracle
-#  11. serving gate: test_serve + test_serve_soak under TSan (the
-#      event loop / pool handoff locking discipline), test_serve +
-#      test_serve_fuzz under ASan+UBSan (>= 200 seeded protocol
-#      mutations per request kind against a live server — zero
-#      crashes or silent corruptions); `sieve bench-serve --smoke`
-#      (fails on served-vs-offline byte identity, never on timing)
-#      with its snapshot validated through `sieve perf-report`; then
-#      a live `sieve serve` at --jobs 1, 4, and 8 whose `sieve call`
+#      §13); and a reference-then-event ledger pair through `sieve
+#      runs regress` at the step-8 bounds
+#  10. serving gate: test_serve + test_serve_soak under TSan (the
+#      event loop / pool handoff locking discipline, and every
+#      response of six concurrent clients bit-equal to the offline
+#      RequestRunner), test_serve + test_serve_fuzz under ASan+UBSan
+#      (>= 200 seeded protocol mutations per request kind against a
+#      live server — zero crashes or silent corruptions); then a live
+#      `sieve serve` at --jobs 1, 4, and 8 whose `sieve call`
 #      responses must be byte-identical to the offline CLI for
 #      evaluate, sample, simulate (minus the wall-clock line), and
 #      trace-stats, with SIGTERM draining to exit 0 (DESIGN.md §14)
-#  12. argument and benchmark gate: malformed numeric flags
+#  11. argument and benchmark gate: malformed numeric flags
 #      (`--theta abc`, `--theta 0.4x`) must exit 1 with a usage
 #      message, never a signal and never a silent prefix parse; then
 #      the repository benchmark's own tests (`perfbench/run.py test`)
@@ -83,14 +79,14 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== 1/12: strict build (WERROR) ==="
+echo "=== 1/11: strict build (WERROR) ==="
 cmake -B build-ci -S . -DSIEVE_WERROR=ON -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci -j "$JOBS"
 
-echo "=== 2/12: test suite ==="
+echo "=== 2/11: test suite ==="
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== 3/12: threaded tests under TSan ==="
+echo "=== 3/11: threaded tests under TSan ==="
 cmake -B build-tsan -S . -DSIEVE_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" --target \
@@ -107,11 +103,7 @@ cmake --build build-tsan -j "$JOBS" --target \
 ./build-tsan/tests/test_perf_oracle
 ./build-tsan/tests/test_sim_cache
 
-echo "=== 4/12: perf-harness smoke (determinism + schema) ==="
-./build-ci/bench/bench_perf --reps 3 --smoke --jobs 8 \
-    --out build-ci/BENCH_SMOKE.json
-
-echo "=== 5/12: observability gate ==="
+echo "=== 4/11: observability gate ==="
 OBS_DIR=build-ci/obs-gate
 rm -rf "$OBS_DIR" && mkdir -p "$OBS_DIR"
 
@@ -137,7 +129,7 @@ echo "obs: trace schema OK"
     "$OBS_DIR/metrics_j1.json" "$OBS_DIR/metrics_j8.json"
 echo "obs: stable counters --jobs-invariant"
 
-echo "=== 6/12: ingestion-robustness gate (ASan+UBSan) ==="
+echo "=== 5/11: ingestion-robustness gate (ASan+UBSan) ==="
 cmake -B build-asan -S . -DSIEVE_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" --target \
@@ -184,7 +176,7 @@ fi
     "$ROB_DIR/sim_j1.json" "$ROB_DIR/sim_j8.json"
 echo "robust: suite.quarantined --jobs-invariant"
 
-echo "=== 7/12: columnar-trace gate (ASan+UBSan) ==="
+echo "=== 6/11: columnar-trace gate (ASan+UBSan) ==="
 cmake --build build-asan -j "$JOBS" --target test_columnar
 
 # Round-trip, tier-eviction, and blob-corruption properties with
@@ -206,7 +198,7 @@ cmp "$COL_DIR/stats_j1.txt" "$COL_DIR/stats_j8.txt"
     "$COL_DIR/stats_j1.json" "$COL_DIR/stats_j8.json"
 echo "columnar: trace-stats output and trace.* --jobs-invariant"
 
-echo "=== 8/12: out-of-core gate (ASan+UBSan) ==="
+echo "=== 7/11: out-of-core gate (ASan+UBSan) ==="
 cmake --build build-asan -j "$JOBS" --target \
     test_io test_shard_store test_streaming
 
@@ -272,7 +264,7 @@ echo "ooc: shard-stats deterministic"
     --ingest-budget-mb 32 --jobs 8 > /dev/null
 echo "ooc: 10x workload streamed under a 32 MiB window"
 
-echo "=== 9/12: telemetry + run-ledger gate ==="
+echo "=== 8/11: telemetry + run-ledger gate ==="
 cmake --build build-tsan -j "$JOBS" --target test_telemetry
 ./build-tsan/tests/test_telemetry
 cmake --build build-asan -j "$JOBS" --target test_telemetry
@@ -363,7 +355,7 @@ fi
     --max-latency-pct 10000000 --max-footprint-pct 200
 echo "telemetry: regression watchdog verdicts correct"
 
-echo "=== 10/12: simulator-core gate ==="
+echo "=== 9/11: simulator-core gate ==="
 cmake --build build-tsan -j "$JOBS" --target test_sim_core
 ./build-tsan/tests/test_sim_core
 cmake --build build-asan -j "$JOBS" --target test_sim_core
@@ -399,7 +391,7 @@ echo "simcore: engines byte-identical at jobs 1/4/8"
 # Ledger pair around the engine swap: the oracle run is the baseline,
 # the event-core run is the candidate — `runs regress` then holds the
 # gpusim.* stable counters exactly and bounds the footprint, with
-# latency waived for the same scheduling-noise reason as step 9.
+# latency waived for the same scheduling-noise reason as step 8.
 SIEVE_SIM_ENGINE=reference \
     ./build-ci/tools/sieve simulate "$SIM_DIR"/traces/*.trace \
     --jobs 8 --ledger "$SIM_DIR/runs.jsonl" > /dev/null
@@ -410,14 +402,7 @@ SIEVE_SIM_ENGINE=event \
     --max-latency-pct 10000000 --max-footprint-pct 200
 echo "simcore: event engine holds the reference ledger bounds"
 
-# The whole perf harness still passes its identity checks on the
-# oracle (bench_perf skips its engine-speedup timing gates when
-# SIEVE_SIM_ENGINE pins both simulators to one core).
-SIEVE_SIM_ENGINE=reference ./build-ci/bench/bench_perf --reps 2 \
-    --smoke --jobs 8 --out "$SIM_DIR/bench_smoke_reference.json"
-echo "simcore: perf smoke passes on the reference engine"
-
-echo "=== 11/12: serving gate ==="
+echo "=== 10/11: serving gate ==="
 cmake --build build-tsan -j "$JOBS" --target test_serve test_serve_soak
 ./build-tsan/tests/test_serve
 ./build-tsan/tests/test_serve_soak
@@ -427,16 +412,6 @@ cmake --build build-asan -j "$JOBS" --target test_serve test_serve_fuzz
 
 SRV_DIR=build-ci/serve-gate
 rm -rf "$SRV_DIR" && mkdir -p "$SRV_DIR"
-
-# bench-serve smoke: every served response is compared against the
-# offline RequestRunner before any latency is recorded, so the gate
-# fails on byte identity, never on timing; the snapshot must parse
-# back through the history tooling.
-./build-ci/tools/sieve bench-serve --smoke \
-    --out "$SRV_DIR/BENCH_SERVE_SMOKE.json"
-./build-ci/tools/sieve perf-report "$SRV_DIR/BENCH_SERVE_SMOKE.json" \
-    --out "$SRV_DIR/serve_history.jsonl" > /dev/null
-echo "serve: bench-serve smoke OK, snapshot schema OK"
 
 # Live-daemon byte identity: whatever sieved serves must be exactly
 # what the offline CLI prints, at several pool widths (DESIGN.md
@@ -491,7 +466,7 @@ for j in 1 4 8; do
 done
 echo "serve: responses byte-identical to the CLI at jobs 1/4/8"
 
-echo "=== 12/12: argument errors and benchmark tests ==="
+echo "=== 11/11: argument errors and benchmark tests ==="
 ARG_DIR=build-ci/arg-gate
 rm -rf "$ARG_DIR" && mkdir -p "$ARG_DIR"
 # Each malformed value must be refused with exit code 1 (a usage

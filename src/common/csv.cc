@@ -136,14 +136,6 @@ CsvTable::write(std::ostream &os) const
 }
 
 void
-CsvTable::writeReference(std::ostream &os) const
-{
-    os << join(_header, ",") << '\n';
-    for (const auto &row : _rows)
-        os << join(row, ",") << '\n';
-}
-
-void
 CsvTable::writeFile(const std::string &path) const
 {
     std::ofstream ofs(path);

@@ -77,14 +77,6 @@ class CsvTable
     /** Serialize the table to a stream. */
     void write(std::ostream &os) const;
 
-    /**
-     * Pre-PR-2 serializer, retained as the bench_perf baseline: joins
-     * every row into a fresh temporary string and streams it with
-     * operator<<. Byte-identical output to write() — the csvWrite
-     * benchmark asserts it. Not used by the production pipeline.
-     */
-    void writeReference(std::ostream &os) const;
-
     /** Serialize the table to a file. fatal() if unwritable. */
     void writeFile(const std::string &path) const;
 

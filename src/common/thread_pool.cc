@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <string>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -17,14 +17,8 @@ namespace sieve {
 size_t
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("SIEVE_JOBS")) {
-        char *end = nullptr;
-        long parsed = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && parsed > 0)
-            return static_cast<size_t>(parsed);
-        warn("ignoring SIEVE_JOBS='", env,
-             "': expected a positive integer");
-    }
+    if (auto jobs = envUint64("SIEVE_JOBS", 1, kMaxJobs))
+        return static_cast<size_t>(*jobs);
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

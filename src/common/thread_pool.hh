@@ -70,10 +70,14 @@ class ThreadPool
      */
     void submit(std::function<void()> task);
 
+    /** Largest SIEVE_JOBS accepted; a bigger value is ignored. */
+    static constexpr size_t kMaxJobs = 1024;
+
     /**
      * Resolve the process-wide default worker count: the SIEVE_JOBS
-     * environment variable if set to a positive integer, otherwise
-     * std::thread::hardware_concurrency() (>= 1).
+     * environment variable if it is an integer in [1, kMaxJobs],
+     * otherwise std::thread::hardware_concurrency() (>= 1). A bad
+     * value is warned about (common/env.hh).
      */
     static size_t defaultJobs();
 

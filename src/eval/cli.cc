@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "obs/ledger.hh"

@@ -775,184 +775,4 @@ findRegressions(const RunManifest &candidate,
     return out;
 }
 
-// ---------------------------------------------------------------
-// Bench history (sieve perf-report).
-// ---------------------------------------------------------------
-
-namespace {
-
-bool
-parseBenchOp(const JVal &v, BenchOpRecord *out, std::string *error)
-{
-    auto fail = [&](const char *msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (v.kind != JVal::Kind::Obj)
-        return fail("op record is not an object");
-    const JVal *op = v.find("op");
-    if (!op || op->kind != JVal::Kind::Str)
-        return fail("op record missing \"op\"");
-    BenchOpRecord r;
-    r.op = op->str;
-    if (const JVal *f = v.find("n"); f && f->kind == JVal::Kind::Num)
-        r.n = f->asU64();
-    if (const JVal *f = v.find("reps");
-        f && f->kind == JVal::Kind::Num)
-        r.reps = f->asU64();
-    const JVal *median = v.find("median_ns");
-    if (!median || median->kind != JVal::Kind::Num)
-        return fail("op record missing \"median_ns\"");
-    r.medianNs = median->asDouble();
-    // baseline_ns absent before schema 2; speedup may be null.
-    if (const JVal *f = v.find("baseline_ns");
-        f && f->kind == JVal::Kind::Num)
-        r.baselineNs = f->asDouble();
-    if (const JVal *f = v.find("speedup");
-        f && f->kind == JVal::Kind::Num)
-        r.speedup = f->asDouble();
-    *out = std::move(r);
-    return true;
-}
-
-} // namespace
-
-bool
-parseBenchSnapshot(std::istream &is, std::string label,
-                   BenchSnapshot *out, std::string *error)
-{
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string text = buf.str();
-
-    JVal root;
-    JsonParser parser(text);
-    if (!parser.parse(&root, error))
-        return false;
-    auto fail = [&](const char *msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (root.kind != JVal::Kind::Obj)
-        return fail("bench file is not a JSON object");
-
-    BenchSnapshot snap;
-    snap.label = std::move(label);
-    if (const JVal *f = root.find("schema");
-        f && f->kind == JVal::Kind::Num)
-        snap.benchSchema = static_cast<int>(f->asI64());
-    if (const JVal *f = root.find("jobs");
-        f && f->kind == JVal::Kind::Num)
-        snap.jobs = static_cast<int>(f->asI64());
-    const JVal *results = root.find("results");
-    if (!results || results->kind != JVal::Kind::Arr)
-        return fail("bench file missing \"results\" array");
-    for (const JVal &v : results->arr) {
-        BenchOpRecord r;
-        if (!parseBenchOp(v, &r, error))
-            return false;
-        snap.ops.push_back(std::move(r));
-    }
-    *out = std::move(snap);
-    if (error)
-        error->clear();
-    return true;
-}
-
-std::string
-benchSnapshotToJsonLine(const BenchSnapshot &snapshot)
-{
-    std::ostringstream os;
-    os << "{\"history_schema\":1,\"label\":\""
-       << jsonEscape(snapshot.label) << "\",\"bench_schema\":"
-       << snapshot.benchSchema << ",\"jobs\":" << snapshot.jobs
-       << ",\"ops\":[";
-    for (size_t i = 0; i < snapshot.ops.size(); ++i) {
-        const BenchOpRecord &r = snapshot.ops[i];
-        if (i)
-            os << ',';
-        os << "{\"op\":\"" << jsonEscape(r.op) << "\",\"n\":" << r.n
-           << ",\"reps\":" << r.reps << ",\"median_ns\":"
-           << formatDouble(r.medianNs) << ",\"baseline_ns\":"
-           << formatDouble(r.baselineNs) << ",\"speedup\":"
-           << formatDouble(r.speedup) << '}';
-    }
-    os << "]}";
-    return os.str();
-}
-
-bool
-parseBenchHistoryLine(const std::string &line, BenchSnapshot *out,
-                      std::string *error)
-{
-    JVal root;
-    JsonParser parser(line);
-    if (!parser.parse(&root, error))
-        return false;
-    auto fail = [&](const char *msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (root.kind != JVal::Kind::Obj)
-        return fail("history line is not a JSON object");
-    const JVal *schema = root.find("history_schema");
-    if (!schema || schema->kind != JVal::Kind::Num ||
-        schema->asI64() != 1)
-        return fail("unsupported bench-history schema");
-    BenchSnapshot snap;
-    if (const JVal *f = root.find("label");
-        f && f->kind == JVal::Kind::Str)
-        snap.label = f->str;
-    if (const JVal *f = root.find("bench_schema");
-        f && f->kind == JVal::Kind::Num)
-        snap.benchSchema = static_cast<int>(f->asI64());
-    if (const JVal *f = root.find("jobs");
-        f && f->kind == JVal::Kind::Num)
-        snap.jobs = static_cast<int>(f->asI64());
-    const JVal *ops = root.find("ops");
-    if (!ops || ops->kind != JVal::Kind::Arr)
-        return fail("history line missing \"ops\"");
-    for (const JVal &v : ops->arr) {
-        BenchOpRecord r;
-        if (!parseBenchOp(v, &r, error))
-            return false;
-        snap.ops.push_back(std::move(r));
-    }
-    *out = std::move(snap);
-    if (error)
-        error->clear();
-    return true;
-}
-
-void
-writeBenchHistory(std::ostream &os,
-                  const std::vector<BenchSnapshot> &snapshots)
-{
-    for (const BenchSnapshot &snap : snapshots)
-        os << benchSnapshotToJsonLine(snap) << '\n';
-}
-
-std::vector<BenchSnapshot>
-readBenchHistory(std::istream &is, uint64_t *skipped)
-{
-    std::vector<BenchSnapshot> out;
-    if (skipped)
-        *skipped = 0;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        BenchSnapshot snap;
-        std::string error;
-        if (parseBenchHistoryLine(line, &snap, &error))
-            out.push_back(std::move(snap));
-        else if (skipped)
-            ++*skipped;
-    }
-    return out;
-}
-
 } // namespace sieve::obs

@@ -27,10 +27,6 @@
  * compares Stable counters exactly (any drift on an identical
  * command line is a correctness flag, not a perf one) and applies
  * percentage thresholds only to the Volatile measurements.
- *
- * The same file also hosts the bench-history types used by
- * `sieve perf-report`, which consolidates BENCH_*.json snapshots
- * into BENCH_HISTORY.jsonl with per-op speedup trajectories.
  */
 
 #ifndef SIEVE_OBS_LEDGER_HH
@@ -172,48 +168,6 @@ std::vector<Regression>
 findRegressions(const RunManifest &candidate,
                 const std::vector<RunManifest> &baselines,
                 const RegressOptions &options);
-
-/** One op row of a bench_perf snapshot. */
-struct BenchOpRecord
-{
-    std::string op;
-    uint64_t n = 0;
-    uint64_t reps = 0;
-    double medianNs = 0.0;
-    double baselineNs = 0.0; //!< 0 = not recorded (schema 1)
-    double speedup = 0.0;    //!< 0 = not recorded ("null")
-};
-
-/** One BENCH_*.json snapshot, labelled by its source file. */
-struct BenchSnapshot
-{
-    std::string label;  //!< "BENCH_PR4" — file stem
-    int benchSchema = 0;
-    int jobs = 0;
-    std::vector<BenchOpRecord> ops;
-};
-
-/**
- * Parse a bench_perf JSON file (schemas 1..4: header fields plus
- * line-per-op "results"). `label` is stored into the snapshot.
- */
-bool parseBenchSnapshot(std::istream &is, std::string label,
-                        BenchSnapshot *out, std::string *error);
-
-/** One BENCH_HISTORY.jsonl line (no trailing newline). */
-std::string benchSnapshotToJsonLine(const BenchSnapshot &snapshot);
-
-/** Parse one BENCH_HISTORY.jsonl line. */
-bool parseBenchHistoryLine(const std::string &line, BenchSnapshot *out,
-                           std::string *error);
-
-/** Write every snapshot as one BENCH_HISTORY.jsonl stream. */
-void writeBenchHistory(std::ostream &os,
-                       const std::vector<BenchSnapshot> &snapshots);
-
-/** Read a BENCH_HISTORY.jsonl stream; skips unparseable lines. */
-std::vector<BenchSnapshot> readBenchHistory(std::istream &is,
-                                            uint64_t *skipped);
 
 } // namespace sieve::obs
 

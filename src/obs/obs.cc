@@ -74,31 +74,6 @@ configureObs(const ObsOptions &options)
 }
 
 void
-configureObsFromEnv()
-{
-    ObsOptions options;
-    if (const char *env = std::getenv("SIEVE_TRACE"))
-        options.traceOut = env;
-    if (const char *env = std::getenv("SIEVE_METRICS"))
-        options.metricsOut = env;
-    if (const char *env = std::getenv("SIEVE_LEDGER"))
-        options.ledgerOut = env;
-    if (const char *env = std::getenv("SIEVE_TELEMETRY"))
-        options.telemetry = env[0] != '\0' &&
-                            !(env[0] == '0' && env[1] == '\0');
-    if (const char *env =
-            std::getenv("SIEVE_TELEMETRY_INTERVAL_MS")) {
-        long ms = std::strtol(env, nullptr, 10);
-        if (ms > 0)
-            options.telemetryIntervalMs =
-                static_cast<uint64_t>(ms);
-    }
-    if (!options.traceOut.empty() || !options.metricsOut.empty() ||
-        !options.ledgerOut.empty() || options.telemetry)
-        configureObs(options);
-}
-
-void
 flushObs()
 {
     // Step 1: stop the sampler (final sweep lands in the trace

@@ -8,7 +8,8 @@
  * Activation surfaces, in precedence order (later wins):
  *   1. environment: SIEVE_TRACE=FILE, SIEVE_METRICS=FILE,
  *      SIEVE_LEDGER=FILE, SIEVE_TELEMETRY=1,
- *      SIEVE_TELEMETRY_INTERVAL_MS=N
+ *      SIEVE_TELEMETRY_INTERVAL_MS=N (configureObsFromEnv, which
+ *      lives in common/env.hh beside the strict numeric parser)
  *   2. flags: --trace-out FILE, --metrics-out FILE, --ledger FILE,
  *      --telemetry, --telemetry-interval-ms N (parseBenchArgs and
  *      sieve_cli both route here)
@@ -58,9 +59,6 @@ struct ObsOptions
  * (or a prior trace configuration) warns and stays off.
  */
 void configureObs(const ObsOptions &options);
-
-/** configureObs from the SIEVE_* environment variables, if set. */
-void configureObsFromEnv();
 
 /**
  * Run the flush sequence documented above. Also runs automatically

@@ -90,9 +90,9 @@ class PksSampler
      * Retained serial baseline of sample(): the same pipeline with
      * the k sweep run serially over stats::reference::kMeans (no row
      * dedup, no bounds pruning, no shared context). Byte-identical to
-     * sample() by the determinism contract — the perf-oracle tests
-     * assert it, and bench_perf times optimized-vs-this to report the
-     * pksSample speedup. Not called by the production pipeline.
+     * sample() by the determinism contract, which
+     * PksSampler.MatchesSerialReferencePipeline asserts at 1 and 8
+     * workers. Not called by the production pipeline.
      */
     SamplingResult sampleReference(
         const trace::Workload &workload,

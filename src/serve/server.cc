@@ -110,6 +110,10 @@ Server::~Server()
 {
     if (_registry.started())
         _registry.stopAll();
+    if (_wakeRead >= 0)
+        ::close(_wakeRead);
+    if (_wakeWrite >= 0)
+        ::close(_wakeWrite);
 }
 
 void
@@ -166,13 +170,19 @@ Server::buildRegistry()
                                   " bytes",
                               _config.socketPath};
              }
-             int pipe_fds[2];
-             if (::pipe(pipe_fds) != 0) {
-                 return Error{ErrorKind::Io,
-                              errnoMessage("pipe"), "server"};
+             // The wake pipe lives until ~Server: requestShutdown
+             // (any thread, or a signal handler) and pool
+             // completions write to it without a lock, so closing
+             // it on stop would race those writes.
+             if (_wakeRead < 0) {
+                 int pipe_fds[2];
+                 if (::pipe(pipe_fds) != 0) {
+                     return Error{ErrorKind::Io,
+                                  errnoMessage("pipe"), "server"};
+                 }
+                 _wakeRead = pipe_fds[0];
+                 _wakeWrite = pipe_fds[1];
              }
-             _wakeRead = pipe_fds[0];
-             _wakeWrite = pipe_fds[1];
 
              _listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
              if (_listenFd < 0) {
@@ -209,11 +219,7 @@ Server::buildRegistry()
              _connections.clear();
              if (_listenFd >= 0)
                  ::close(_listenFd);
-             if (_wakeRead >= 0)
-                 ::close(_wakeRead);
-             if (_wakeWrite >= 0)
-                 ::close(_wakeWrite);
-             _listenFd = _wakeRead = _wakeWrite = -1;
+             _listenFd = -1;
              ::unlink(_config.socketPath.c_str());
          }});
 }

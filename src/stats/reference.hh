@@ -6,12 +6,9 @@
  * PR 2 rewrote the KDE grid evaluation, the density stratification,
  * and the k-means assignment loop for speed under the constraint that
  * every output stays byte-identical. These are the originals, kept
- * verbatim, serving two masters:
- *
- *   - the oracle tests, which assert the optimized paths produce
- *     bit-for-bit identical results across randomized inputs, and
- *   - bench_perf, which times optimized-vs-reference to compute the
- *     speedups recorded in BENCH_PR*.json.
+ * verbatim as the oracles of tests/test_perf_oracle.cc and
+ * tests/test_pks_sampler.cc, which assert the optimized paths produce
+ * bit-for-bit identical results across randomized inputs.
  *
  * Nothing in the production pipeline calls into this namespace; do
  * not "optimize" these — their entire value is being the slow,
@@ -49,7 +46,7 @@ struct PcaFit
  * jacobiEigen and component-selection logic as stats::Pca. Every
  * accumulator receives its terms in the same order as the optimized
  * row-major span passes, so the fit is bit-identical to Pca — the
- * oracle tests assert it, and bench_perf times Pca against this.
+ * oracle tests assert it.
  */
 PcaFit pcaFit(const Matrix &data, double variance_to_keep = 0.9);
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <optional>
 
+#include "common/env.hh"
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
 
@@ -219,14 +218,8 @@ TierConfig
 TierConfig::fromEnv()
 {
     TierConfig config;
-    if (const char *env = std::getenv("SIEVE_TRACE_BUDGET_MB")) {
-        uint64_t mb = 0;
-        if (parseUint64(env, mb) == NumericParse::Ok)
-            config.budgetBytes = static_cast<size_t>(mb) << 20;
-        else
-            warn("ignoring unparsable SIEVE_TRACE_BUDGET_MB='", env,
-                 "'");
-    }
+    if (auto mb = envUint64("SIEVE_TRACE_BUDGET_MB", 0, kMaxBudgetMb))
+        config.budgetBytes = static_cast<size_t>(*mb) << 20;
     return config;
 }
 

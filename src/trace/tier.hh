@@ -56,7 +56,8 @@ struct TierConfig
 
     /**
      * TierConfig with the budget taken from SIEVE_TRACE_BUDGET_MB
-     * (unset or unparsable values keep the default).
+     * (common/env.hh: unset, malformed or above kMaxBudgetMb keeps
+     * the default; a bad value is warned about).
      */
     static TierConfig fromEnv();
 };

@@ -1,10 +1,9 @@
 #include "trace/workload_stream.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.hh"
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "io/span_reader.hh"
 #include "obs/metrics.hh"
 #include "trace/workload_format.hh"
@@ -34,14 +33,8 @@ IngestBudget
 IngestBudget::fromEnv()
 {
     IngestBudget budget;
-    if (const char *env = std::getenv("SIEVE_INGEST_BUDGET_MB")) {
-        uint64_t mb = 0;
-        if (parseUint64(env, mb) == NumericParse::Ok)
-            budget.budgetBytes = static_cast<size_t>(mb) << 20;
-        else
-            warn("ignoring unparsable SIEVE_INGEST_BUDGET_MB='", env,
-                 "'");
-    }
+    if (auto mb = envUint64("SIEVE_INGEST_BUDGET_MB", 0, kMaxBudgetMb))
+        budget.budgetBytes = static_cast<size_t>(*mb) << 20;
     return budget;
 }
 

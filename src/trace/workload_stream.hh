@@ -48,7 +48,8 @@ struct IngestBudget
 
     /**
      * IngestBudget with the bound taken from SIEVE_INGEST_BUDGET_MB
-     * (unset or unparsable values keep the default).
+     * (common/env.hh: unset, malformed or above kMaxBudgetMb keeps
+     * the default; a bad value is warned about).
      */
     static IngestBudget fromEnv();
 

@@ -5,8 +5,8 @@
  * Every optimized analysis stage must produce *byte-identical* output
  * to its retained naive reference (stats::reference) — across
  * randomized inputs, degenerate near-constant inputs, and any worker
- * count. These tests are the enforcement arm of that contract; the
- * perf wins in BENCH_PR2.json only count because these pass.
+ * count. These tests are the enforcement arm of that contract; a
+ * speedup of an optimized path only counts because these pass.
  */
 
 #include <gtest/gtest.h>

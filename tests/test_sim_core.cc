@@ -26,6 +26,8 @@
 #include "workloads/generator.hh"
 #include "workloads/suites.hh"
 
+#include "mshr_heavy_trace.hh"
+
 namespace sieve::gpusim {
 namespace {
 
@@ -316,46 +318,6 @@ expectEnginesAgree(const trace::KernelTrace &kt, const char *label,
     KernelSimResult a = GpuSimulator(testArch(), ev).simulate(kt);
     KernelSimResult b = GpuSimulator(testArch(), rf).simulate(kt);
     expectSameResult(a, b, label);
-}
-
-/**
- * All-miss dependent-load chains: every warp alternates scattered
- * global loads whose source is the previous load's destination, the
- * workload class where the MSHR bound and DRAM latency dominate and
- * the event core does the least stepping.
- */
-trace::KernelTrace
-mshrHeavyTrace(uint32_t n_ctas, uint32_t warps_per_cta,
-               uint32_t loads_per_warp)
-{
-    trace::KernelTrace kt;
-    kt.kernelName = "mshr_heavy";
-    kt.launch.grid = {n_ctas, 1, 1};
-    kt.launch.cta = {warps_per_cta * 32, 1, 1};
-    kt.ctas.resize(n_ctas);
-    uint64_t line = 1ull << 32;
-    for (uint32_t c = 0; c < n_ctas; ++c) {
-        kt.ctas[c].warps.resize(warps_per_cta);
-        for (uint32_t w = 0; w < warps_per_cta; ++w) {
-            auto &insts = kt.ctas[c].warps[w].instructions;
-            uint8_t prev = 0;
-            for (uint32_t i = 0; i < loads_per_warp; ++i) {
-                trace::SassInstruction si;
-                si.opcode = trace::Opcode::Ldg;
-                si.destReg = static_cast<uint8_t>(2 + i % 30);
-                si.srcReg0 = prev;
-                si.sectors = 32;
-                si.lineAddress = line;
-                line += 97;
-                prev = si.destReg;
-                insts.push_back(si);
-            }
-            trace::SassInstruction halt;
-            halt.opcode = trace::Opcode::Exit;
-            insts.push_back(halt);
-        }
-    }
-    return kt;
 }
 
 TEST(EngineParity, SynthesizedSuiteTraces)

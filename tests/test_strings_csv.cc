@@ -9,6 +9,7 @@
 
 #include "common/csv.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/strings.hh"
 
 namespace sieve {
@@ -198,6 +199,52 @@ TEST(Csv, RoundTrip)
     ASSERT_EQ(parsed.numCols(), 2u);
     EXPECT_EQ(parsed.cell(1, 0), "k1");
     EXPECT_EQ(parsed.cellAsUint(1, 1), 20u);
+}
+
+/**
+ * Oracle for CsvTable::write: the straightforward serializer that
+ * joins every row into a fresh string and streams it with
+ * operator<<. write() reuses one line buffer instead, and must emit
+ * the same bytes.
+ */
+std::string
+writeReference(const CsvTable &table)
+{
+    std::ostringstream os;
+    os << join(table.header(), ",") << '\n';
+    for (size_t r = 0; r < table.numRows(); ++r) {
+        std::vector<std::string> row;
+        for (size_t c = 0; c < table.numCols(); ++c)
+            row.push_back(table.cell(r, c));
+        os << join(row, ",") << '\n';
+    }
+    return os.str();
+}
+
+TEST(Csv, WriteMatchesJoinReferenceOnSeededTable)
+{
+    CsvTable table({"suite", "workload", "kernel", "invocation",
+                    "instructions", "cta", "ipc", "cycles"});
+    Rng rng("csv-write-oracle");
+    for (size_t r = 0; r < 2000; ++r) {
+        // Every fifth row empties one randomly chosen field; the
+        // last row below is all empty fields.
+        std::vector<std::string> row = {
+            "cactus", "lmc", std::to_string(r % 61), std::to_string(r),
+            std::to_string(rng.next() % 100000000), "256",
+            toFixed(rng.uniform(), 4),
+            std::to_string(rng.next() % 10000000)};
+        if (r % 5 == 0)
+            row[rng.next() % row.size()].clear();
+        table.addRow(std::move(row));
+    }
+    table.addRow(std::vector<std::string>(table.numCols()));
+
+    std::ostringstream first, second;
+    table.write(first);
+    table.write(second);
+    EXPECT_EQ(first.str(), writeReference(table));
+    EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(Csv, ColumnIndex)

@@ -559,58 +559,5 @@ TEST(Regress, BaselineIsTheWindowMinimum)
         obs::findRegressions(cand, {fast, slow}, options).empty());
 }
 
-// ---------------------------------------------------------------
-// Bench history
-// ---------------------------------------------------------------
-
-TEST(BenchHistory, SnapshotRoundTrip)
-{
-    obs::BenchSnapshot snap;
-    snap.label = "BENCH_PR8";
-    snap.benchSchema = 3;
-    snap.jobs = 8;
-    obs::BenchOpRecord op;
-    op.op = "ingest/columnar";
-    op.n = 100000;
-    op.reps = 7;
-    op.medianNs = 123456.5;
-    op.baselineNs = 250000.25;
-    op.speedup = 2.025;
-    snap.ops.push_back(op);
-
-    std::string line = obs::benchSnapshotToJsonLine(snap);
-    obs::BenchSnapshot parsed;
-    std::string error;
-    ASSERT_TRUE(obs::parseBenchHistoryLine(line, &parsed, &error))
-        << error;
-    EXPECT_EQ(parsed.label, snap.label);
-    EXPECT_EQ(parsed.benchSchema, snap.benchSchema);
-    EXPECT_EQ(parsed.jobs, snap.jobs);
-    ASSERT_EQ(parsed.ops.size(), 1u);
-    EXPECT_EQ(parsed.ops[0].op, op.op);
-    EXPECT_EQ(parsed.ops[0].n, op.n);
-    EXPECT_EQ(parsed.ops[0].medianNs, op.medianNs);
-    EXPECT_EQ(parsed.ops[0].speedup, op.speedup);
-    EXPECT_EQ(obs::benchSnapshotToJsonLine(parsed), line);
-}
-
-TEST(BenchHistory, StreamReadSkipsForeignLines)
-{
-    obs::BenchSnapshot snap;
-    snap.label = "BENCH_PR6";
-    snap.benchSchema = 2;
-    snap.jobs = 4;
-
-    std::ostringstream os;
-    obs::writeBenchHistory(os, {snap, snap});
-    std::string two = os.str();
-
-    std::istringstream is(two + "garbage line\n");
-    uint64_t skipped = 0;
-    auto history = obs::readBenchHistory(is, &skipped);
-    EXPECT_EQ(history.size(), 2u);
-    EXPECT_EQ(skipped, 1u);
-}
-
 } // namespace
 } // namespace sieve

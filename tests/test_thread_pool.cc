@@ -122,6 +122,25 @@ TEST(ThreadPool, DefaultJobsHonorsEnvVar)
     EXPECT_GE(ThreadPool::defaultJobs(), 1u);
 }
 
+TEST(ThreadPool, DefaultJobsRefusesValuesOutsideItsRange)
+{
+    // Only defaultJobs() is called: no pool is built from these.
+    ::unsetenv("SIEVE_JOBS");
+    const size_t fallback = ThreadPool::defaultJobs();
+
+    ::setenv("SIEVE_JOBS", std::to_string(ThreadPool::kMaxJobs).c_str(),
+             1);
+    EXPECT_EQ(ThreadPool::defaultJobs(), ThreadPool::kMaxJobs);
+
+    const std::string above = std::to_string(ThreadPool::kMaxJobs + 1);
+    for (const char *bad : {above.c_str(), "1000000",
+                            "18446744073709551615", "0", "4x", "-2", ""}) {
+        ::setenv("SIEVE_JOBS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultJobs(), fallback) << "'" << bad << "'";
+    }
+    ::unsetenv("SIEVE_JOBS");
+}
+
 TEST(ThreadPool, ZeroWorkerRequestResolvesDefault)
 {
     ::unsetenv("SIEVE_JOBS");

@@ -55,23 +55,19 @@
  *       Inspect the append-only run ledger (obs/ledger.hh);
  *       `regress` exits non-zero when the latest run exceeds its
  *       baseline window — the perf-regression watchdog.
- *   sieve perf-report [BENCH_*.json...] [--out F]
- *       Consolidate bench snapshots into BENCH_HISTORY.jsonl and
- *       print per-op median trajectories.
  *
  * Every command also accepts --trace-out FILE / --metrics-out FILE /
  * --ledger FILE / --telemetry [--telemetry-interval-ms N] (or
  * SIEVE_TRACE / SIEVE_METRICS / SIEVE_LEDGER / SIEVE_TELEMETRY) to
  * record its own execution, and --log-level quiet|warn|info|debug
  * (or SIEVE_LOG_LEVEL). The introspection commands (runs,
- * perf-report, metrics-diff, trace-summary) never arm the layer:
- * they read its artifacts.
+ * metrics-diff, trace-summary) never arm the layer: they read its
+ * artifacts.
  */
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -83,6 +79,7 @@
 #include <vector>
 
 #include "common/csv.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/thread_pool.hh"
@@ -105,7 +102,6 @@
 #include "sampling/rep_traces.hh"
 #include "sampling/sieve.hh"
 #include "sampling/tbpoint.hh"
-#include "serve/bench_serve.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -1345,138 +1341,6 @@ cmdRuns(const Args &args)
           "' (list | show | diff | regress)");
 }
 
-/** Numeric-aware compare so BENCH_PR2 < BENCH_PR4 < BENCH_PR10. */
-bool
-naturalLess(const std::string &a, const std::string &b)
-{
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (std::isdigit(static_cast<unsigned char>(a[i])) &&
-            std::isdigit(static_cast<unsigned char>(b[j]))) {
-            size_t i0 = i, j0 = j;
-            while (i < a.size() &&
-                   std::isdigit(static_cast<unsigned char>(a[i])))
-                ++i;
-            while (j < b.size() &&
-                   std::isdigit(static_cast<unsigned char>(b[j])))
-                ++j;
-            std::string_view da(a.data() + i0, i - i0);
-            std::string_view db(b.data() + j0, j - j0);
-            uint64_t na = 0, nb = 0;
-            if (parseUint64(da, na) != NumericParse::Ok ||
-                parseUint64(db, nb) != NumericParse::Ok) {
-                // Beyond uint64: the longer digit run is larger.
-                if (da.size() != db.size())
-                    return da.size() < db.size();
-                if (da != db)
-                    return da < db;
-            } else if (na != nb) {
-                return na < nb;
-            }
-        } else {
-            if (a[i] != b[j])
-                return a[i] < b[j];
-            ++i;
-            ++j;
-        }
-    }
-    return a.size() < b.size();
-}
-
-int
-cmdPerfReport(const Args &args)
-{
-    // Explicit files, or every BENCH_*.json in the working directory
-    // (excluding the history itself).
-    std::vector<std::string> files = args.positional();
-    if (files.empty()) {
-        for (const auto &entry :
-             std::filesystem::directory_iterator(".")) {
-            std::string name = entry.path().filename().string();
-            if (name.rfind("BENCH_", 0) == 0 &&
-                name.size() > 5 + 5 &&
-                name.compare(name.size() - 5, 5, ".json") == 0 &&
-                name.rfind("BENCH_HISTORY", 0) != 0)
-                files.push_back(entry.path().string());
-        }
-        std::sort(files.begin(), files.end(), naturalLess);
-    }
-    if (files.empty())
-        fatal("no BENCH_*.json snapshots found (pass files "
-              "explicitly or run scripts/perf.sh)");
-
-    std::vector<obs::BenchSnapshot> snapshots;
-    for (const std::string &file : files) {
-        std::ifstream in(file);
-        if (!in)
-            fatal("cannot open bench file '", file, "'");
-        obs::BenchSnapshot snap;
-        std::string error;
-        if (!obs::parseBenchSnapshot(
-                in, std::filesystem::path(file).stem().string(),
-                &snap, &error))
-            fatal("malformed bench file '", file, "': ", error);
-        snapshots.push_back(std::move(snap));
-    }
-
-    std::string out = args.get("out", "BENCH_HISTORY.jsonl");
-    std::ofstream os(out);
-    if (!os)
-        fatal("cannot write '", out, "'");
-    obs::writeBenchHistory(os, snapshots);
-
-    // Per-op median trajectory across snapshots, oldest to newest,
-    // with the delta between the two most recent points.
-    std::vector<std::string> ops;
-    for (const auto &snap : snapshots)
-        for (const auto &r : snap.ops)
-            if (std::find(ops.begin(), ops.end(), r.op) == ops.end())
-                ops.push_back(r.op);
-
-    eval::Report report("Bench history: " +
-                        std::to_string(snapshots.size()) +
-                        " snapshots");
-    std::vector<std::string> columns = {"op"};
-    for (const auto &snap : snapshots)
-        columns.push_back(snap.label);
-    columns.push_back("delta");
-    report.setColumns(columns);
-
-    for (const std::string &op : ops) {
-        std::vector<std::string> row = {op};
-        std::vector<double> medians;
-        for (const auto &snap : snapshots) {
-            auto it = std::find_if(
-                snap.ops.begin(), snap.ops.end(),
-                [&](const obs::BenchOpRecord &r) {
-                    return r.op == op;
-                });
-            if (it == snap.ops.end()) {
-                row.push_back("-");
-            } else {
-                row.push_back(eval::Report::count(it->medianNs));
-                medians.push_back(it->medianNs);
-            }
-        }
-        if (medians.size() >= 2 && medians[medians.size() - 2] > 0) {
-            double delta = (medians.back() /
-                                medians[medians.size() - 2] -
-                            1.0) *
-                           100.0;
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%+.1f%%", delta);
-            row.push_back(buf);
-        } else {
-            row.push_back("-");
-        }
-        report.addRow(row);
-    }
-    report.print();
-    std::printf("wrote %zu snapshot(s) to %s\n", snapshots.size(),
-                out.c_str());
-    return 0;
-}
-
 int
 cmdServe(const Args &args)
 {
@@ -1587,19 +1451,6 @@ cmdCall(const Args &args)
 }
 
 int
-cmdBenchServe(const Args &args)
-{
-    serve::BenchServeOptions opts;
-    opts.connections = args.count("connections", 4);
-    opts.requests = args.count("requests", 25);
-    opts.jobs = args.count("jobs", 0);
-    opts.smoke = args.has("smoke");
-    opts.out = args.get("out", "BENCH_PR10.json");
-    opts.socketPath = args.get("socket", "");
-    return serve::runBenchServe(opts);
-}
-
-int
 usage()
 {
     std::fprintf(
@@ -1645,15 +1496,6 @@ usage()
         "running\n"
         "                                 sieved; Ok payload -> "
         "stdout\n"
-        "  bench-serve [--connections N] [--requests N] [--jobs N]\n"
-        "              [--smoke] [-o FILE]\n"
-        "                                 closed-loop serving bench "
-        "->\n"
-        "                                 BENCH_PR10.json\n"
-        "  perf-report [BENCH...] [--out F]\n"
-        "                                 consolidate BENCH_*.json "
-        "into\n"
-        "                                 BENCH_HISTORY.jsonl\n"
         "global options (all commands):\n"
         "  --trace-out FILE    Chrome trace of this run "
         "(env: SIEVE_TRACE)\n"
@@ -1699,7 +1541,6 @@ main(int argc, char **argv)
     // the layer for them would write the files they are reading
     // (appending a `runs list` manifest to the ledger it lists).
     bool introspection = command == "runs" ||
-                         command == "perf-report" ||
                          command == "metrics-diff" ||
                          command == "trace-summary";
     if (!introspection) {
@@ -1751,10 +1592,6 @@ main(int argc, char **argv)
         return cmdServe(args);
     if (command == "call")
         return cmdCall(args);
-    if (command == "bench-serve")
-        return cmdBenchServe(args);
-    if (command == "perf-report")
-        return cmdPerfReport(args);
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return usage();
 }
